@@ -1,7 +1,7 @@
 // Package ctrlock defines the chantvet analyzer that protects the
 // integrity of Chant's instrumentation and sync primitives: trace.Counters
-// and trace.Log contain atomics and mutexes, so copying them by value forks
-// the instrument (half the events land in a doomed copy); counter atomics
+// contains atomics and a mutex, so copying it by value forks the
+// instrument (half the events land in a doomed copy); counter atomics
 // are add-only, so Store/Swap from any context races with concurrent Adds;
 // and a sync.Mutex Lock with no matching Unlock in the same function is the
 // classic lock leak that hangs a real-mode scheduler.
@@ -19,7 +19,7 @@ import (
 // Analyzer flags trace instrument misuse and unbalanced lock pairs.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctrlock",
-	Doc: "report by-value copies of trace.Counters/trace.Log, Store/Swap on " +
+	Doc: "report by-value copies of trace.Counters, Store/Swap on " +
 		"add-only counter atomics, sync.Mutex Lock calls with no " +
 		"matching Unlock in the same function, and append-based compact " +
 		"deletes on reference-element slices (they strand a live reference " +
@@ -65,24 +65,17 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// instrumentType reports whether t (after unwrapping) is trace.Counters or
-// trace.Log as a value type.
-func instrumentType(t types.Type) (name string, ok bool) {
+// isCounters reports whether t is trace.Counters as a value type. Other
+// mutex-holding trace types (Tracer, Recorder) are covered by vet's
+// copylocks.
+func isCounters(t types.Type) bool {
 	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	if !analysis.PathMatches(named.Obj().Pkg().Path(), "internal/trace") {
-		return "", false
-	}
-	switch named.Obj().Name() {
-	case "Counters", "Log":
-		return "trace." + named.Obj().Name(), true
-	}
-	return "", false
+	return isNamed && named.Obj().Pkg() != nil &&
+		analysis.PathMatches(named.Obj().Pkg().Path(), "internal/trace") &&
+		named.Obj().Name() == "Counters"
 }
 
-// checkCopy flags expressions that copy a Counters or Log by value: a
+// checkCopy flags expressions that copy a Counters by value: a
 // dereference, a variable read, or a call result of value type.
 func checkCopy(pass *analysis.Pass, expr ast.Expr) {
 	expr = ast.Unparen(expr)
@@ -98,12 +91,12 @@ func checkCopy(pass *analysis.Pass, expr ast.Expr) {
 	if !ok || !tv.IsValue() {
 		return
 	}
-	if name, isInstr := instrumentType(tv.Type); isInstr {
-		pass.Reportf(expr.Pos(), "%s copied by value: the copy forks mutex and atomic state, splitting the instrument; use a pointer", name)
+	if isCounters(tv.Type) {
+		pass.Reportf(expr.Pos(), "trace.Counters copied by value: the copy forks mutex and atomic state, splitting the instrument; use a pointer")
 	}
 }
 
-// checkSignature flags value-typed Counters/Log parameters and results.
+// checkSignature flags value-typed Counters parameters and results.
 func checkSignature(pass *analysis.Pass, ft *ast.FuncType) {
 	flag := func(fl *ast.FieldList, kind string) {
 		if fl == nil {
@@ -114,8 +107,8 @@ func checkSignature(pass *analysis.Pass, ft *ast.FuncType) {
 			if !ok {
 				continue
 			}
-			if name, isInstr := instrumentType(tv.Type); isInstr {
-				pass.Reportf(field.Type.Pos(), "%s passed by value as a %s: every call copies mutex and atomic state; use a pointer", name, kind)
+			if isCounters(tv.Type) {
+				pass.Reportf(field.Type.Pos(), "trace.Counters passed by value as a %s: every call copies mutex and atomic state; use a pointer", kind)
 			}
 		}
 	}
@@ -150,7 +143,7 @@ func checkStore(pass *analysis.Pass, call *ast.CallExpr) {
 	if ptr, isPtr := t.(*types.Pointer); isPtr {
 		t = ptr.Elem()
 	}
-	if name, isInstr := instrumentType(t); isInstr && name == "trace.Counters" {
+	if isCounters(t) {
 		pass.Reportf(call.Pos(), "%s on a trace.Counters field: counters are add-only; %s discards Adds racing from other schedulers", fn.Name(), fn.Name())
 	}
 }

@@ -10,11 +10,9 @@ import (
 )
 
 // copies exercises the by-value instrument checks.
-func copies(c *trace.Counters, l *trace.Log) {
+func copies(c *trace.Counters) {
 	bad := *c // want `trace\.Counters copied by value`
 	_ = bad
-	badLog := *l // want `trace\.Log copied by value`
-	_ = badLog
 	snap := c.Snap() // ok: Snapshot is the sanctioned plain-value copy
 	_ = snap
 	good := c // ok: pointer copy
@@ -25,8 +23,8 @@ func byValueParam(c trace.Counters) { // want `trace\.Counters passed by value a
 	_ = c.Sends.Load()
 }
 
-func byValueResult() trace.Log { // want `trace\.Log passed by value as a result`
-	return trace.Log{}
+func byValueResult() trace.Counters { // want `trace\.Counters passed by value as a result`
+	return trace.Counters{}
 }
 
 // stores exercises the add-only counter check.

@@ -1,6 +1,6 @@
 // Package trace stubs chant/internal/trace for ctrlock fixtures: the real
-// Counters and Log also embed atomics and a mutex, which is exactly why
-// copying them by value is a bug.
+// Counters also embeds atomics and a mutex, which is exactly why copying it
+// by value is a bug.
 package trace
 
 import (
@@ -25,17 +25,4 @@ func (c *Counters) Snap() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Snapshot{FullSwitches: c.FullSwitches.Load(), Sends: c.Sends.Load()}
-}
-
-// Log stubs the scheduler event log.
-type Log struct {
-	mu   sync.Mutex
-	ring []int64
-}
-
-// Add stubs event recording.
-func (l *Log) Add(at int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ring = append(l.ring, at)
 }

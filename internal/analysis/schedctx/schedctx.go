@@ -24,9 +24,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // restricted maps (repo-relative package path, type, method) to the reason a
-// call is scheduler-context-only. Host.Interrupt, Proc.Signal, Log.Add and
-// the Counters atomics are deliberately absent: those are the sanctioned
-// cross-context entry points.
+// call is scheduler-context-only. Host.Interrupt, Proc.Signal, Tracer.Span
+// and the Counters atomics are deliberately absent: those are the
+// sanctioned cross-context entry points.
 var restricted = map[[3]string]string{
 	{"internal/ult", "Sched", "Spawn"}:     "mutates the ready queue",
 	{"internal/ult", "Sched", "SpawnWith"}: "mutates the ready queue",

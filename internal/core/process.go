@@ -52,11 +52,6 @@ type Config struct {
 	// for each hop beyond the first. Zero models a flat network. Only the
 	// simulated transport observes it.
 	MeshWidth int
-	// EventLogSize, when positive, attaches a trace.Log retaining that
-	// many scheduler events to every process, retrievable afterwards via
-	// Process.EventLog. The determinism self-test compares these streams
-	// across runs; debugging sessions dump them.
-	EventLogSize int
 	// SimShards, when at least 2, runs the simulation on the parallel
 	// conservative kernel with that many shards: simulated PEs are
 	// partitioned across shard event heaps executed concurrently on host
@@ -185,13 +180,8 @@ type Thread struct {
 // newProcess wires a process together. The runtime calls it once per
 // (pe, proc) before running mains.
 func newProcess(rt *Runtime, addr comm.Addr, host machine.Host, ctrs *trace.Counters, ep *comm.Endpoint, cfg Config) *Process {
-	var evlog *trace.Log
-	if cfg.EventLogSize > 0 {
-		evlog = trace.NewLog(cfg.EventLogSize)
-	}
 	sched := ult.NewSched(host, ctrs, ult.Options{
 		Name:      addr.String(),
-		EventLog:  evlog,
 		IdleBlock: cfg.IdleBlock,
 		Tracer:    cfg.Tracer,
 		PE:        addr.PE,
@@ -244,10 +234,6 @@ func (p *Process) Endpoint() *comm.Endpoint { return p.ep }
 
 // Counters reports the process's event counters.
 func (p *Process) Counters() *trace.Counters { return p.sched.Counters() }
-
-// EventLog reports the process's scheduler event log (nil unless
-// Config.EventLogSize was positive).
-func (p *Process) EventLog() *trace.Log { return p.sched.EventLog() }
 
 // run executes main as thread 0, with the server thread (unless disabled)
 // and, in body-delivery mode, the dispatcher thread created first.

@@ -142,8 +142,10 @@ type ChaosResult struct {
 	// FaultEvents is the ordered stream of injected fault decisions — the
 	// determinism witness for the fault plane itself.
 	FaultEvents []faults.Event
-	// Events is each process's scheduler event stream.
-	Events map[comm.Addr][]trace.Event
+	// Spans is every process's span stream in canonical order: scheduler
+	// occupancy and blocking, sends and matches, RSR calls and serves,
+	// checkpoint and restore.
+	Spans []trace.Span
 }
 
 // RunChaos executes the chaos soak once and reports what happened.
@@ -161,12 +163,12 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		fcfg.Crashes = []faults.Crash{{PE: cfg.CrashPE, At: cfg.CrashAt, RestartAfter: cfg.RestartAfter}}
 	}
 	plan := faults.New(fcfg, cfg.FaultSeed)
+	tr := trace.NewTracer(0)
 
 	topo := core.Topology{PEs: 2 * cfg.Pairs, ProcsPerPE: 1}
 	ccfg := core.Config{
 		Policy:        cfg.Policy,
 		Delivery:      core.DeliverCtx,
-		EventLogSize:  1 << 15,
 		RSRTimeout:    cfg.RSRTimeout,
 		RSRRetries:    cfg.RSRRetries,
 		RSRBackoff:    cfg.RSRBackoff,
@@ -174,6 +176,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		MaxUnexpected: 1024,
 		Faults:        plan,
 		SimShards:     cfg.Shards,
+		Tracer:        tr,
 	}
 	if cfg.CrashAt > 0 {
 		ccfg.CheckpointStore = recovery.NewMemStore()
@@ -234,15 +237,11 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	out := ChaosResult{
+	return ChaosResult{
 		TimeMS:      res.VirtualEnd.Millis(),
 		Total:       res.Total,
 		Faults:      plan.Stats(),
 		FaultEvents: plan.Events(),
-		Events:      make(map[comm.Addr][]trace.Event),
-	}
-	for _, a := range topo.Addrs() {
-		out.Events[a] = rt.Process(a).EventLog().Snapshot()
-	}
-	return out, nil
+		Spans:       tr.Snapshot(),
+	}, nil
 }

@@ -9,7 +9,7 @@ import (
 // Table 3 workload shape, rebuilt on the retrying RSR layer, must complete
 // under >= 5% injected message loss (plus duplication and delay jitter) —
 // and two runs with the same fault seed must be indistinguishable: the
-// same injected fault stream, the same scheduler event streams, the same
+// same injected fault stream, the same span stream, the same
 // counters, the same virtual end time.
 func TestChaosSoak(t *testing.T) {
 	cfg := ChaosConfig{}
@@ -69,17 +69,13 @@ func TestChaosSoak(t *testing.T) {
 	if !reflect.DeepEqual(first.Total, second.Total) {
 		t.Errorf("counters diverged:\nrun1: %+v\nrun2: %+v", first.Total, second.Total)
 	}
-	for addr, ev1 := range first.Events {
-		ev2 := second.Events[addr]
-		if len(ev1) != len(ev2) {
-			t.Errorf("%v: scheduler event stream length diverged: %d vs %d", addr, len(ev1), len(ev2))
-			continue
-		}
-		for i := range ev1 {
-			if ev1[i] != ev2[i] {
-				t.Errorf("%v: scheduler event %d diverged: %+v vs %+v", addr, i, ev1[i], ev2[i])
-				break
-			}
+	if len(first.Spans) != len(second.Spans) {
+		t.Fatalf("span stream length diverged: %d vs %d", len(first.Spans), len(second.Spans))
+	}
+	for i := range first.Spans {
+		if first.Spans[i] != second.Spans[i] {
+			t.Errorf("span %d diverged: %+v vs %+v", i, first.Spans[i], second.Spans[i])
+			break
 		}
 	}
 }

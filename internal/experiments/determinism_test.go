@@ -14,7 +14,7 @@ import (
 )
 
 // determinismRun is everything one simulated run observes: the aggregate
-// result, every process's scheduler event stream, and the order thread-local
+// result, every process's span stream, and the order thread-local
 // destructors fired. Two runs of the same workload must produce identical
 // values — that is the determinism guarantee the paper's experiment tables
 // rest on, and the one detlint polices statically.
@@ -22,7 +22,7 @@ type determinismRun struct {
 	VirtualEnd  float64
 	Total       trace.Snapshot
 	PerProc     map[comm.Addr]trace.Snapshot
-	Events      map[comm.Addr][]trace.Event
+	Spans       []trace.Span
 	Destructors []string
 }
 
@@ -33,8 +33,9 @@ type determinismRun struct {
 func runDeterminismWorkload(t *testing.T) determinismRun {
 	t.Helper()
 	topo := core.Topology{PEs: 4, ProcsPerPE: 1}
+	tr := trace.NewTracer(0)
 	rt := core.NewSimRuntime(topo,
-		core.Config{Policy: core.SchedulerPollsPS, Delivery: core.DeliverCtx, EventLogSize: 1 << 14},
+		core.Config{Policy: core.SchedulerPollsPS, Delivery: core.DeliverCtx, Tracer: tr},
 		machine.Paragon1994())
 	addrs := topo.Addrs()
 	n := len(addrs)
@@ -111,22 +112,18 @@ func runDeterminismWorkload(t *testing.T) determinismRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := determinismRun{
+	return determinismRun{
 		VirtualEnd:  res.VirtualEnd.Micros(),
 		Total:       res.Total,
 		PerProc:     res.PerProc,
-		Events:      make(map[comm.Addr][]trace.Event, n),
+		Spans:       tr.Snapshot(),
 		Destructors: destructors,
 	}
-	for _, a := range addrs {
-		out.Events[a] = rt.Process(a).EventLog().Snapshot()
-	}
-	return out
 }
 
 // TestSimRunsAreDeterministic runs the workload twice and asserts the runs
 // are indistinguishable: same virtual end time, same counters, and the same
-// scheduler event stream on every PE, event for event.
+// span stream, span for span.
 func TestSimRunsAreDeterministic(t *testing.T) {
 	first := runDeterminismWorkload(t)
 	second := runDeterminismWorkload(t)
@@ -142,17 +139,16 @@ func TestSimRunsAreDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(first.Destructors, second.Destructors) {
 		t.Errorf("thread-local destructor order diverged:\nrun1: %v\nrun2: %v", first.Destructors, second.Destructors)
 	}
-	for addr, ev1 := range first.Events {
-		ev2 := second.Events[addr]
-		if len(ev1) != len(ev2) {
-			t.Errorf("%v: event stream length diverged: %d vs %d", addr, len(ev1), len(ev2))
-			continue
-		}
-		for i := range ev1 {
-			if ev1[i] != ev2[i] {
-				t.Errorf("%v: event %d diverged: %+v vs %+v", addr, i, ev1[i], ev2[i])
-				break
-			}
+	if len(first.Spans) == 0 {
+		t.Fatal("no spans recorded")
+	}
+	if len(first.Spans) != len(second.Spans) {
+		t.Fatalf("span stream length diverged: %d vs %d", len(first.Spans), len(second.Spans))
+	}
+	for i := range first.Spans {
+		if first.Spans[i] != second.Spans[i] {
+			t.Errorf("span %d diverged: %+v vs %+v", i, first.Spans[i], second.Spans[i])
+			break
 		}
 	}
 }

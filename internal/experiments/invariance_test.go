@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
 	"testing"
 
-	"chant/internal/comm"
 	"chant/internal/core"
 )
 
@@ -42,31 +40,19 @@ var pollingGoldens = []pollingGolden{
 }
 
 // hashChaos folds one chaos run's complete observable behaviour — final
-// virtual clock, counters, fault record, and every per-process event stream
-// in deterministic address order — into one FNV-1a word. The counters enter
-// as Snapshot's %+v text, so adding a counter field (even one that stays
-// zero here) re-pins the goldens; the individual figures in the error
-// message distinguish a real behaviour change from such a re-pin.
+// virtual clock, counters, fault record, and the canonical span stream of
+// every process — into one FNV-1a word. The counters enter as Snapshot's
+// %+v text, so adding a counter field (even one that stays zero here)
+// re-pins the goldens; the individual figures in the error message
+// distinguish a real behaviour change from such a re-pin.
 func hashChaos(r ChaosResult) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "time=%.6f total=%+v faults=%+v\n", r.TimeMS, r.Total, r.Faults)
 	for _, ev := range r.FaultEvents {
 		fmt.Fprintf(h, "fault %+v\n", ev)
 	}
-	addrs := make([]comm.Addr, 0, len(r.Events))
-	for a := range r.Events {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		if addrs[i].PE != addrs[j].PE {
-			return addrs[i].PE < addrs[j].PE
-		}
-		return addrs[i].Proc < addrs[j].Proc
-	})
-	for _, a := range addrs {
-		for _, ev := range r.Events[a] {
-			fmt.Fprintf(h, "%v %+v\n", a, ev)
-		}
+	for _, sp := range r.Spans {
+		fmt.Fprintf(h, "%+v\n", sp)
 	}
 	return h.Sum64()
 }
@@ -101,22 +87,21 @@ func TestChaosEventInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-pinned (from 0xae1d6a6af03a0108 / 0x1f652a152330d9b0) when crash
-	// recovery extended the RSR request envelope with the sender's epoch
-	// (rsrHeaderLen 13 -> 17): every request frame is four bytes longer, so
-	// simulated message latencies — and with them the whole event stream —
-	// shift. The recovery counters added to trace.Snapshot also enter the
-	// hash text (all zero in this faults-only soak).
-	if got := hashChaos(r); got != 0x64aefb9bc7bc6787 {
-		t.Errorf("chaos stream hash = %#x, want 0x64aefb9bc7bc6787 (time=%.6f sends=%d retries=%d faultevents=%d)",
+	// Re-pinned (from 0x64aefb9bc7bc6787 / 0x3285942fa943b5a4) when the
+	// hash switched from the removed scheduler event log to the span
+	// stream. The old pins still held with the tracer attached alongside
+	// the log, and these are the span-based hashes of that same run, so
+	// the schedule itself did not move.
+	if got := hashChaos(r); got != 0xcbfe39a54d36c0e8 {
+		t.Errorf("chaos stream hash = %#x, want 0xcbfe39a54d36c0e8 (time=%.6f sends=%d retries=%d faultevents=%d)",
 			got, r.TimeMS, r.Total.Sends, r.Total.RSRRetries, len(r.FaultEvents))
 	}
 	rwq, err := RunChaos(ChaosConfig{Workers: 4, Iters: 10, Policy: core.SchedulerPollsWQ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hashChaos(rwq); got != 0x3285942fa943b5a4 {
-		t.Errorf("chaos-wq stream hash = %#x, want 0x3285942fa943b5a4 (time=%.6f sends=%d retries=%d faultevents=%d)",
+	if got := hashChaos(rwq); got != 0x2d49b9fdf16eecc1 {
+		t.Errorf("chaos-wq stream hash = %#x, want 0x2d49b9fdf16eecc1 (time=%.6f sends=%d retries=%d faultevents=%d)",
 			got, rwq.TimeMS, rwq.Total.Sends, rwq.Total.RSRRetries, len(rwq.FaultEvents))
 	}
 }
@@ -183,16 +168,16 @@ func TestParallelPollingInvariance(t *testing.T) {
 // TestParallelChaosInvariance runs the pinned chaos soaks — full fault
 // plane, RSR retries, termination handshake — on the parallel kernel and
 // requires the complete behaviour hash (counters, fault event stream,
-// per-process scheduler event streams) to equal the sequential goldens.
+// span streams) to equal the sequential goldens.
 func TestParallelChaosInvariance(t *testing.T) {
 	goldens := []struct {
 		cfg  ChaosConfig
 		want uint64
 	}{
 		// Same hashes as TestChaosEventInvariance, re-pinned with it when the
-		// RSR envelope grew the sender-epoch field (see the comment there).
-		{ChaosConfig{Workers: 4, Iters: 10}, 0x64aefb9bc7bc6787},
-		{ChaosConfig{Workers: 4, Iters: 10, Policy: core.SchedulerPollsWQ}, 0x3285942fa943b5a4},
+		// hash moved to the span stream (see the comment there).
+		{ChaosConfig{Workers: 4, Iters: 10}, 0xcbfe39a54d36c0e8},
+		{ChaosConfig{Workers: 4, Iters: 10, Policy: core.SchedulerPollsWQ}, 0x2d49b9fdf16eecc1},
 	}
 	withGOMAXPROCS(t, func(gmp int) {
 		for gi, g := range goldens {

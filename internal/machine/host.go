@@ -92,6 +92,10 @@ type RealHost struct {
 	// concurrently with Idle.
 	spin int
 
+	// computeSink defeats dead-code elimination of the Compute spin loop.
+	// Per host, so PEs computing at the same time do not race on it.
+	computeSink uint64
+
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -153,11 +157,8 @@ func (h *RealHost) Compute(units int64) {
 		acc ^= acc << 13
 		acc ^= acc >> 7
 	}
-	computeSink = acc
+	h.computeSink = acc
 }
-
-// computeSink defeats dead-code elimination of the Compute spin loop.
-var computeSink uint64
 
 func (h *RealHost) Idle() {
 	// Spin-then-park: consume an interrupt lock-free within the budget

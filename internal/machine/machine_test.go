@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -145,4 +146,22 @@ func TestRealHostClockAdvances(t *testing.T) {
 	if b < a {
 		t.Fatal("real clock went backwards")
 	}
+}
+
+// TestRealHostsComputeConcurrently runs Compute on two real hosts at once,
+// as two real-mode PEs do. Under -race it proves Compute keeps no state
+// shared between hosts.
+func TestRealHostsComputeConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		h := NewRealHost(Modern())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				h.Compute(1000)
+			}
+		}()
+	}
+	wg.Wait()
 }

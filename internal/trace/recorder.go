@@ -1,5 +1,5 @@
 // The flight recorder: the real-mode backing store for the Tracer. The
-// mutexed event Log is fine under the simulation kernel, where emission
+// mutexed span store is fine under the simulation kernel, where emission
 // order *is* the determinism contract, but a mutex per record on the
 // real-mode data plane would serialize exactly the PEs being measured. The
 // recorder instead keeps one fixed-size ring per PE, written lock-free and

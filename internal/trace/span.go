@@ -107,8 +107,8 @@ type Span struct {
 // real-mode hot path stays allocation- and lock-free.
 //
 // Two backing stores share the front door. Deterministic (sim) runs append
-// under a mutex in emission order, exactly as cheap as the existing event
-// Log and safe for the parallel kernel's worker goroutines. Real-mode runs
+// under a mutex in emission order, which is cheap and safe for the parallel
+// kernel's worker goroutines; Snapshot then sorts canonically. Real-mode runs
 // use the lock-free per-PE flight recorder instead (see recorder.go), since
 // a mutex per span on the data-plane hot path would serialize the PEs being
 // measured.

@@ -8,127 +8,93 @@ import (
 	"chant/internal/sim"
 )
 
-// Timeline reconstructs per-thread occupancy from a Log's events and
-// renders it as an ASCII Gantt chart: one row per thread, one column per
-// time bucket.
+// Timeline renders per-thread occupancy from a span stream as an ASCII
+// Gantt chart: one row per (PE, thread), one column per time bucket.
 //
-//	'#' the thread was running during (part of) the bucket
+//	'#' a SpanRun of the thread covered (part of) the bucket
 //	'.' the thread existed but was not running
-//	' ' the thread had not been spawned or had exited
+//	' ' before the thread's first span or after its last
 //
-// It is an approximation: a bucket spanning several switches shows every
-// thread that ran in it. Intended for debugging scheduler behaviour
-// (attach a Log via ult.Options.EventLog, then print Timeline).
-func Timeline(events []Event, width int) string {
-	if len(events) == 0 {
-		return "(no events)\n"
+// A thread's lifetime runs from the Begin of its first span to the End of
+// its last, whatever their kinds; endpoint pseudo-thread spans (EndpointTID)
+// get no row. Spans carry no process index, so with several processes per
+// PE, threads of equal TID share a row. It is an approximation: a bucket spanning several switches
+// shows every thread that ran in it. Intended for debugging scheduler
+// behaviour (attach a Tracer, then print Timeline(tracer.Snapshot(), 0)).
+func Timeline(spans []Span, width int) string {
+	type key struct{ pe, tid int32 }
+	type life struct {
+		born, died sim.Time
+		runs       []Span
+	}
+	threads := map[key]*life{}
+	var start, end sim.Time
+	for _, sp := range spans {
+		if sp.TID == EndpointTID {
+			continue
+		}
+		k := key{sp.PE, sp.TID}
+		l := threads[k]
+		if l == nil {
+			if len(threads) == 0 {
+				start, end = sp.Begin, sp.End
+			}
+			l = &life{born: sp.Begin, died: sp.End}
+			threads[k] = l
+		}
+		l.born, l.died = min(l.born, sp.Begin), max(l.died, sp.End)
+		start, end = min(start, sp.Begin), max(end, sp.End)
+		if sp.Kind == SpanRun {
+			l.runs = append(l.runs, sp)
+		}
+	}
+	if len(threads) == 0 {
+		return "(no spans)\n"
 	}
 	if width <= 0 {
 		width = 72
 	}
-	start, end := events[0].At, events[0].At
-	for _, e := range events {
-		if e.At < start {
-			start = e.At
-		}
-		if e.At > end {
-			end = e.At
-		}
-	}
 	if end == start {
 		end = start + 1
 	}
-	span := float64(end - start)
+	window := float64(end - start)
 	bucket := func(at sim.Time) int {
-		b := int(float64(at-start) / span * float64(width))
-		// Clamp both ends: an event stamped exactly at end maps to width
-		// (the half-open bucket grid has no column for it), and the low
-		// clamp makes the in-range invariant local rather than resting on
-		// the caller having scanned start as the true minimum — either
-		// miss would index running[] out of range.
-		if b >= width {
-			b = width - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		return b
+		b := int(float64(at-start) / window * float64(width))
+		// A span ending exactly at end maps to width (the half-open bucket
+		// grid has no column for it): clamp to the last column.
+		return min(max(b, 0), width-1)
 	}
 
-	type life struct {
-		born, died sim.Time
-		haveBorn   bool
-		haveDied   bool
-		running    []bool
+	keys := make([]key, 0, len(threads))
+	for k := range threads {
+		keys = append(keys, k)
 	}
-	threads := map[int32]*life{}
-	get := func(id int32) *life {
-		l := threads[id]
-		if l == nil {
-			l = &life{running: make([]bool, width)}
-			threads[id] = l
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].pe != keys[j].pe {
+			return keys[i].pe < keys[j].pe
 		}
-		return l
-	}
-
-	// Reconstruct running segments: a thread runs from its switch-in until
-	// the next scheduling event (any thread's switch-in, its own block or
-	// exit, or an idle entry).
-	cur := int32(-1)
-	var curFrom sim.Time
-	closeSegment := func(until sim.Time) {
-		if cur < 0 {
-			return
-		}
-		l := get(cur)
-		for b := bucket(curFrom); b <= bucket(until); b++ {
-			l.running[b] = true
-		}
-		cur = -1
-	}
-	for _, e := range events {
-		switch e.Kind {
-		case EvSpawn:
-			l := get(e.Thread)
-			l.born, l.haveBorn = e.At, true
-		case EvSwitchIn:
-			closeSegment(e.At)
-			cur = e.Thread
-			curFrom = e.At
-		case EvBlock, EvExit:
-			if e.Thread == cur {
-				closeSegment(e.At)
-			}
-			if e.Kind == EvExit {
-				l := get(e.Thread)
-				l.died, l.haveDied = e.At, true
-			}
-		case EvIdle:
-			closeSegment(e.At)
-		}
-	}
-	closeSegment(end)
-
-	ids := make([]int32, 0, len(threads))
-	for id := range threads {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return keys[i].tid < keys[j].tid
+	})
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline %v .. %v (%d buckets of %v)\n",
-		start, end, width, sim.Duration(span/float64(width)))
-	for _, id := range ids {
-		l := threads[id]
-		fmt.Fprintf(&b, "t%-4d |", id)
+		start, end, width, sim.Duration(window/float64(width)))
+	running := make([]bool, width)
+	for _, k := range keys {
+		l := threads[k]
+		clear(running)
+		for _, r := range l.runs {
+			for c := bucket(r.Begin); c <= bucket(r.End); c++ {
+				running[c] = true
+			}
+		}
+		fmt.Fprintf(&b, "pe%d.t%-4d |", k.pe, k.tid)
 		for col := 0; col < width; col++ {
-			at := start.Add(sim.Duration(span * float64(col) / float64(width)))
+			at := start.Add(sim.Duration(window * float64(col) / float64(width)))
 			switch {
-			case l.running[col]:
+			case running[col]:
 				b.WriteByte('#')
-			case l.haveBorn && at < l.born:
-				b.WriteByte(' ')
-			case l.haveDied && at > l.died:
+			case at < l.born, at > l.died:
 				b.WriteByte(' ')
 			default:
 				b.WriteByte('.')

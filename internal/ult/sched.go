@@ -15,9 +15,6 @@ import (
 type Options struct {
 	// Name labels the scheduler in diagnostics (e.g. "pe0.p0").
 	Name string
-	// EventLog, when non-nil, records scheduler events (switches, blocks,
-	// spawns, exits) for debugging; see trace.Log.
-	EventLog *trace.Log
 	// Tracer, when non-nil, receives scheduler spans (thread occupancy
 	// from switch-in to switch-out, blocked intervals). Every emission is
 	// gated on the nil check, so a scheduler without a tracer pays one
@@ -102,9 +99,6 @@ func (s *Sched) Host() machine.Host { return s.host }
 // Counters reports the scheduler's event counters.
 func (s *Sched) Counters() *trace.Counters { return s.ctrs }
 
-// EventLog reports the scheduler's attached event log (nil when none).
-func (s *Sched) EventLog() *trace.Log { return s.opts.EventLog }
-
 // Current reports the running thread, or nil from scheduler context.
 func (s *Sched) Current() *TCB { return s.cur }
 
@@ -148,7 +142,6 @@ func (s *Sched) SpawnWith(name string, fn func(), o SpawnOpts) *TCB {
 	s.ctrs.ThreadsCreated.Add(1)
 	s.host.Charge(s.host.Model().ThreadCreate)
 	s.ready.Push(t)
-	s.opts.EventLog.Add(s.host.Now(), trace.EvSpawn, t.id)
 	return t
 }
 
@@ -187,7 +180,6 @@ func (s *Sched) Run(main func()) error {
 				return err
 			}
 			s.ctrs.IdleEntries.Add(1)
-			s.opts.EventLog.Add(s.host.Now(), trace.EvIdle, -1)
 			if s.opts.IdleBlock {
 				s.host.Idle()
 			} else {
@@ -201,7 +193,6 @@ func (s *Sched) Run(main func()) error {
 			// Scheduler polls (PS)).
 			s.ctrs.PartialSwitches.Add(1)
 			s.host.Charge(m.PartialSwitch)
-			s.opts.EventLog.Add(s.host.Now(), trace.EvPartialSwitch, t.id)
 			if !t.Pending() {
 				s.ready.Push(t)
 				continue
@@ -258,7 +249,6 @@ func (s *Sched) pickReady() *TCB {
 func (s *Sched) switchIn(t *TCB) {
 	s.ctrs.FullSwitches.Add(1)
 	s.host.Charge(s.host.Model().FullSwitch)
-	s.opts.EventLog.Add(s.host.Now(), trace.EvSwitchIn, t.id)
 	var runBegin sim.Time
 	if s.opts.Tracer != nil {
 		runBegin = s.host.Now()
@@ -323,7 +313,6 @@ func (s *Sched) finish(t *TCB) {
 	t.state = Done
 	t.Pending = nil
 	t.runDestructors()
-	s.opts.EventLog.Add(s.host.Now(), trace.EvExit, t.id)
 	s.liveTotal--
 	if !t.daemon {
 		s.liveRegular--
@@ -400,7 +389,6 @@ func (s *Sched) Yield() {
 	if s.ready.Len() == 0 && t.Pending == nil {
 		s.ctrs.YieldsNoSwitch.Add(1)
 		s.host.Charge(s.host.Model().YieldNoSwitch)
-		s.opts.EventLog.Add(s.host.Now(), trace.EvYieldFast, t.id)
 		return
 	}
 	t.state = Ready
@@ -421,7 +409,6 @@ func (s *Sched) Block() {
 	}
 	t.state = Blocked
 	s.blocked++
-	s.opts.EventLog.Add(s.host.Now(), trace.EvBlock, t.id)
 	if s.opts.Tracer != nil {
 		t.blockedAt = s.host.Now()
 	}
@@ -444,7 +431,6 @@ func (s *Sched) Unblock(t *TCB) {
 	t.state = Ready
 	s.blocked--
 	s.ready.Push(t)
-	s.opts.EventLog.Add(s.host.Now(), trace.EvUnblock, t.id)
 	if s.opts.Tracer != nil {
 		s.opts.Tracer.Span(trace.SpanBlocked, s.opts.PE, t.id, t.blockedAt, s.host.Now(), 0)
 	}
@@ -470,7 +456,6 @@ func (s *Sched) Cancel(t *TCB) {
 		return
 	}
 	t.canceled = true
-	s.opts.EventLog.Add(s.host.Now(), trace.EvCancel, t.id)
 	if t.onCancel != nil {
 		fn := t.onCancel
 		t.onCancel = nil

@@ -569,31 +569,81 @@ func TestSwitchCostCharged(t *testing.T) {
 	}
 }
 
-func TestEventLogRecordsSchedulerActivity(t *testing.T) {
-	log := trace.NewLog(256)
-	s := NewSched(machine.NewRealHost(machine.Modern()), &trace.Counters{},
-		Options{Name: "logged", IdleBlock: true, EventLog: log})
-	err := s.Run(func() {
-		w := s.Spawn("worker", func() {
+// TestSchedulerSpans checks the scheduler's span stream on a simulated PE:
+// one SpanRun per full switch-in and one SpanBlocked per Block→Unblock,
+// labeled with the scheduler's PE and the right thread, with run intervals
+// that never overlap and a blocked interval that sits between the blocked
+// thread's runs.
+func TestSchedulerSpans(t *testing.T) {
+	tr := trace.NewTracer(0)
+	ctrs := &trace.Counters{}
+	var worker int32
+	k := sim.NewKernel()
+	k.Spawn("pe", func(p *sim.Proc) {
+		host := machine.NewSimHost(p, machine.Paragon1994())
+		s := NewSched(host, ctrs, Options{Name: "traced", Tracer: tr, PE: 3})
+		if err := s.Run(func() {
+			w := s.Spawn("worker", func() {
+				s.Yield()
+				s.Block()
+			})
+			worker = w.ID()
 			s.Yield()
-			s.Block()
-		})
-		s.Yield()
-		s.Yield()
-		s.Unblock(w)
-		s.Join(w)
+			s.Yield()
+			s.Unblock(w)
+			s.Join(w)
+		}); err != nil {
+			t.Error(err)
+		}
 	})
-	if err != nil {
+	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[trace.EventKind]int{}
-	for _, e := range log.Snapshot() {
-		kinds[e.Kind]++
-	}
-	for _, want := range []trace.EventKind{trace.EvSpawn, trace.EvSwitchIn,
-		trace.EvBlock, trace.EvUnblock, trace.EvExit} {
-		if kinds[want] == 0 {
-			t.Errorf("no %v events recorded; dump:\n%s", want, log.Dump())
+
+	var runs, blocks []trace.Span
+	for _, sp := range tr.Snapshot() {
+		if sp.PE != 3 || sp.End < sp.Begin {
+			t.Fatalf("malformed span %+v", sp)
 		}
+		switch sp.Kind {
+		case trace.SpanRun:
+			runs = append(runs, sp)
+		case trace.SpanBlocked:
+			blocks = append(blocks, sp)
+		default:
+			t.Fatalf("unexpected span kind %v", sp.Kind)
+		}
+	}
+	if switches := ctrs.Snap(0).FullSwitches; uint64(len(runs)) != switches {
+		t.Fatalf("%d run spans for %d full switches", len(runs), switches)
+	}
+	for i := 1; i < len(runs); i++ {
+		if runs[i].Begin < runs[i-1].End {
+			t.Errorf("run spans overlap on one PE: %+v then %+v", runs[i-1], runs[i])
+		}
+	}
+	// The worker blocks once explicitly; main blocks once in Join only if
+	// the worker has not finished by then.
+	var wb []trace.Span
+	for _, b := range blocks {
+		if b.TID == worker {
+			wb = append(wb, b)
+		} else if b.TID != 0 {
+			t.Errorf("blocked span for unknown thread %d", b.TID)
+		}
+	}
+	if len(wb) != 1 {
+		t.Fatalf("worker blocked spans = %d, want 1: %+v", len(wb), blocks)
+	}
+	var before, after bool
+	for _, r := range runs {
+		if r.TID != worker {
+			continue
+		}
+		before = before || (r.Begin <= wb[0].Begin && wb[0].Begin <= r.End)
+		after = after || r.Begin >= wb[0].End
+	}
+	if !before || !after {
+		t.Errorf("blocked span %+v not between the worker's runs %+v", wb[0], runs)
 	}
 }
